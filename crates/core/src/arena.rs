@@ -123,6 +123,15 @@ impl<T> TxnArena<T> {
         Some(value)
     }
 
+    /// Iterates over live entries in slot order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TxnId, &T)> {
+        self.slots.iter().enumerate().filter_map(|(slot, entry)| {
+            let value = entry.value.as_ref()?;
+            Some((TxnId::from_parts(slot as u32, entry.generation), value))
+        })
+    }
+
     /// Serializes the whole slab — every slot's generation, each live
     /// value through `enc`, and the free list *in order* — so a restored
     /// arena issues future ids in exactly the sequence the original would
@@ -216,6 +225,16 @@ mod tests {
         assert_eq!(a.get_mut(id), None);
         assert_eq!(a.remove(id), None, "double remove is a no-op");
         assert_eq!(a.get(id2), Some(&8));
+    }
+
+    #[test]
+    fn iter_visits_live_entries_under_their_current_ids() {
+        let mut a = TxnArena::new();
+        let ids: Vec<TxnId> = (0..3).map(|i| a.insert(i)).collect();
+        a.remove(ids[0]);
+        let reused = a.insert(9);
+        let live: Vec<(TxnId, i32)> = a.iter().map(|(id, &v)| (id, v)).collect();
+        assert_eq!(live, [(reused, 9), (ids[1], 1), (ids[2], 2)]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! trips. All cycle counts are 6 GHz processor cycles.
 
 use flexsnoop_engine::Cycles;
+use flexsnoop_mem::{CacheGeometry, CmpGeometry};
 use flexsnoop_net::HierParams;
 
 /// Cache geometry parameters.
@@ -332,6 +333,23 @@ impl MachineConfig {
     /// Total cores in the machine.
     pub fn total_cores(&self) -> usize {
         self.nodes * self.cores_per_cmp
+    }
+
+    /// The cache shape of every CMP: cores per CMP and per-core L1/L2
+    /// geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache parameters do not form valid geometries (see
+    /// [`CacheGeometry::from_capacity`]); [`validate`](Self::validate)
+    /// does not check them.
+    pub fn cmp_geometry(&self) -> CmpGeometry {
+        let c = &self.caches;
+        CmpGeometry::new(
+            self.cores_per_cmp,
+            CacheGeometry::from_capacity(c.l1_bytes, c.l1_ways, c.line_bytes),
+            CacheGeometry::from_capacity(c.l2_bytes, c.l2_ways, c.line_bytes),
+        )
     }
 
     /// Validates cross-field constraints.

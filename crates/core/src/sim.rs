@@ -28,7 +28,7 @@ use flexsnoop_engine::{
     segment_of, Cycle, Cycles, FxHashMap, FxHashSet, QueueKind, Resource, Scheduler,
     ShardedScheduler,
 };
-use flexsnoop_mem::{CacheGeometry, CmpCaches, CmpId, CoherState, InvalidateOutcome, LineAddr};
+use flexsnoop_mem::{CmpId, CoherState, InvalidateOutcome, LineAddr, MachineCaches};
 use flexsnoop_metrics::{EnergyCategory, EnergyModel};
 use flexsnoop_net::{FaultPlan, FaultStats, RingConfig, RingNetwork, Torus, TorusConfig};
 use flexsnoop_predictor::{
@@ -175,9 +175,9 @@ struct Txn {
     core: usize,
     issue: Cycle,
     /// Nodes holding a gateway entry for this transaction, in insertion
-    /// order. Drained to clean up the sparse gateway map on retirement or
-    /// retry; duplicate-free because nodes are pushed only when their
-    /// entry is freshly inserted.
+    /// order: pushed when an entry is freshly inserted, removed when it is
+    /// (see `set_node_state`). Drained to clean up the sparse gateway map
+    /// on retirement or retry.
     engaged: Vec<u32>,
     /// When cache-supplied data reached the requester.
     data_arrived: Option<Cycle>,
@@ -437,7 +437,7 @@ pub struct Simulator {
     cfg: MachineConfig,
     alg: Algorithm,
     sched: SimSched,
-    cmps: Vec<CmpCaches>,
+    cmps: MachineCaches,
     predictors: PredictorBank,
     /// Per-group supplier-locality tables (hierarchical topologies only;
     /// empty when flat). Consulted at the requester to pick the initial
@@ -631,19 +631,7 @@ impl Simulator {
                 predictors.len()
             ));
         }
-        let l1 = CacheGeometry::from_capacity(
-            machine.caches.l1_bytes,
-            machine.caches.l1_ways,
-            machine.caches.line_bytes,
-        );
-        let l2 = CacheGeometry::from_capacity(
-            machine.caches.l2_bytes,
-            machine.caches.l2_ways,
-            machine.caches.line_bytes,
-        );
-        let cmps = (0..machine.nodes)
-            .map(|_| CmpCaches::new(machine.cores_per_cmp, l1, l2))
-            .collect();
+        let cmps = MachineCaches::new(machine.nodes, machine.cmp_geometry());
         let presence = if machine.policy.write_filtering {
             (0..machine.nodes)
                 .map(|_| BloomFilter::new(BloomSpec::y_filter()))
@@ -1123,7 +1111,7 @@ impl Simulator {
     /// The coherence state of `line` in one core's L2 (for inspection and
     /// testing).
     pub fn line_state(&self, node: CmpId, core: usize, line: LineAddr) -> CoherState {
-        self.cmps[node.0].l2(core).state_of(line)
+        self.cmps[node.0].l2_state(core, line)
     }
 
     /// Checks the global storage invariants of Figure 2(b) for every
@@ -3003,11 +2991,7 @@ impl Simulator {
         let mut any_copy = false;
         let mut local_copy = false;
         for (n, cmp) in self.cmps.iter().enumerate() {
-            for c in 0..cmp.cores() {
-                let st = cmp.l2(c).state_of(line);
-                if !st.is_valid() {
-                    continue;
-                }
+            for (_, st) in cmp.copies_of(line) {
                 if matches!(st, CoherState::E | CoherState::D | CoherState::T) {
                     return None;
                 }
@@ -3125,20 +3109,54 @@ impl Simulator {
     }
 
     /// Writes one node's gateway state for `txn` into the sparse map.
-    /// `Finished` removes the entry (absence ≡ finished-or-untouched);
-    /// a fresh insert is recorded on the transaction's `engaged` list so
-    /// retirement and retries clean up in O(entries touched). No-op for
-    /// retired transactions, so stale events cannot leak entries.
+    /// `Finished` removes the entry (absence ≡ finished-or-untouched) and
+    /// the node's place on the transaction's `engaged` list; a fresh
+    /// insert is appended to that list. The list therefore names exactly
+    /// the live entries, and retirement and retries clean up in
+    /// O(live entries). No-op for retired transactions, so stale events
+    /// cannot leak entries.
     fn set_node_state(&mut self, txn: TxnId, node: CmpId, state: NodeState) {
         let Some(t) = self.txns.get_mut(txn) else {
             return;
         };
-        let key = (txn, node.0 as u32);
+        let id = node.0 as u32;
+        let key = (txn, id);
         if state == NodeState::Finished {
-            self.gateway.remove(&key);
+            if self.gateway.remove(&key).is_some() {
+                // Only live entries are listed, so the search is short.
+                let at = t
+                    .engaged
+                    .iter()
+                    .position(|&n| n == id)
+                    .expect("engaged list missed a gateway entry");
+                t.engaged.remove(at);
+            }
         } else if self.gateway.insert(key, state).is_none() {
-            t.engaged.push(node.0 as u32);
+            t.engaged.push(id);
         }
+    }
+
+    /// For every live transaction and every transaction with gateway
+    /// entries: its id, its sorted `engaged` list and the sorted nodes
+    /// holding a gateway entry for it. The two lists must be equal.
+    #[cfg(test)]
+    pub(crate) fn engagement(&self) -> Vec<(TxnId, Vec<u32>, Vec<u32>)> {
+        let mut by_txn: std::collections::BTreeMap<TxnId, (Vec<u32>, Vec<u32>)> = self
+            .txns
+            .iter()
+            .map(|(id, t)| (id, (t.engaged.clone(), Vec::new())))
+            .collect();
+        for &(txn, node) in self.gateway.keys() {
+            by_txn.entry(txn).or_default().1.push(node);
+        }
+        by_txn
+            .into_iter()
+            .map(|(id, (mut engaged, mut held))| {
+                engaged.sort_unstable();
+                held.sort_unstable();
+                (id, engaged, held)
+            })
+            .collect()
     }
 
     // ----- state mutation with predictor maintenance --------------------------
@@ -3149,8 +3167,8 @@ impl Simulator {
         if self.cfg.policy.write_filtering {
             self.presence[node.0].insert(line);
         }
-        let old = self.cmps[node.0].l2(local).state_of(line);
-        if let Some(victim) = self.cmps[node.0].fill(local, line, state) {
+        let old = self.cmps[node.0].l2_state(local, line);
+        if let Some(victim) = self.cmps.fill(node.0, local, line, state) {
             self.residency_change(victim.line, victim.state, CoherState::I);
             if self.cfg.policy.write_filtering {
                 self.presence[node.0].remove(victim.line);
@@ -3175,7 +3193,7 @@ impl Simulator {
 
     /// Changes the state of a resident line, keeping the predictor in sync.
     fn transition(&mut self, node: CmpId, local: usize, line: LineAddr, new: CoherState) {
-        let old = self.cmps[node.0].l2(local).state_of(line);
+        let old = self.cmps[node.0].l2_state(local, line);
         debug_assert!(old.is_valid(), "transition on invalid line {line}");
         if old == new {
             return;
@@ -3282,7 +3300,7 @@ impl Simulator {
     /// estimate (not an allocator census) — `bench --scale` reports it as
     /// bytes/node to track how per-node cost grows with ring size.
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        let caches: u64 = self.cmps.iter().map(|c| c.footprint_bytes()).sum();
+        let caches = self.cmps.footprint_bytes();
         let presence: u64 = self
             .presence
             .iter()
@@ -3436,10 +3454,7 @@ impl Simulator {
         let mut w = SnapWriter::new();
         w.put_u64(self.config_fingerprint());
         w.put_bool(self.started);
-        w.put_usize(self.cmps.len());
-        for c in &self.cmps {
-            c.save_into(&mut w);
-        }
+        self.cmps.save_into(&mut w);
         self.predictors.save_into(&mut w);
         w.put_usize(self.presence.len());
         for b in &self.presence {
@@ -3597,12 +3612,7 @@ impl Simulator {
             return Err(SnapError::FingerprintMismatch { found, expected });
         }
         let started = r.get_bool()?;
-        if r.get_usize()? != self.cmps.len() {
-            return Err(SnapError::Corrupt("CMP count does not match config"));
-        }
-        for c in &mut self.cmps {
-            c.restore_from(&mut r)?;
-        }
+        self.cmps.restore_from(&mut r)?;
         self.predictors.restore_from(&mut r)?;
         if r.get_usize()? != self.presence.len() {
             return Err(SnapError::Corrupt(

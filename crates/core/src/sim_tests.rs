@@ -1354,3 +1354,87 @@ mod churn {
         assert_eq!(runs[0], runs[1], "queue backend changed churn behaviour");
     }
 }
+
+/// A [`MachineConfig::scale`] ring of `nodes` single-core CMPs where
+/// `requesters` evenly spaced cores each issue `accesses` to a shared
+/// 32-line pool (every third one a write when `writes` is set); every
+/// other core is idle.
+fn scale_sim(
+    nodes: usize,
+    requesters: usize,
+    accesses: u64,
+    writes: bool,
+    algorithm: Algorithm,
+) -> Simulator {
+    let stride = nodes / requesters;
+    let streams: Vec<Box<dyn AccessStream + Send>> = (0..nodes)
+        .map(|core| {
+            let script: Vec<MemAccess> = if core % stride == 0 {
+                (0..accesses)
+                    .map(|k| MemAccess {
+                        line: LineAddr((core as u64 / stride as u64 + k) % 32),
+                        write: writes && k % 3 == 2,
+                        think: Cycles(10),
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            Box::new(VecStream::new(script)) as Box<dyn AccessStream + Send>
+        })
+        .collect();
+    let predictor = algorithm.default_predictor();
+    Simulator::new(
+        MachineConfig::scale(nodes),
+        algorithm,
+        predictor,
+        energy_model_for(&predictor),
+        streams,
+        accesses,
+    )
+    .expect("valid scale machine")
+}
+
+#[test]
+fn engaged_lists_name_exactly_the_live_gateway_entries() {
+    for algorithm in [Algorithm::Lazy, Algorithm::SupersetAgg] {
+        let mut sim = scale_sim(64, 8, 12, true, algorithm);
+        let mut slices = 0;
+        let mut engaged_seen = 0;
+        let mut stop = 0;
+        while slices == 0 || sim.pending_events() > 0 {
+            stop += 150;
+            sim.run_until(Some(flexsnoop_engine::Cycle::new(stop)));
+            slices += 1;
+            for (txn, engaged, held) in sim.engagement() {
+                assert_eq!(
+                    engaged, held,
+                    "{algorithm}: txn {txn:?} at cycle {stop}: engaged list vs gateway entries"
+                );
+                engaged_seen += engaged.len();
+            }
+        }
+        sim.finalize();
+        assert!(slices > 10, "{algorithm}: the run must span many slices");
+        assert!(
+            engaged_seen > 0,
+            "{algorithm}: no slice saw a gateway entry"
+        );
+        assert!(
+            sim.engagement().is_empty(),
+            "{algorithm}: entries outlived the run"
+        );
+    }
+}
+
+#[test]
+fn idle_cmps_stay_unbuilt_on_a_large_ring() {
+    // 8 requesters on a 65,536-node ring: every other CMP is idle and
+    // must cost no cache arrays (656 bytes/node if every CMP builds its
+    // arrays up front).
+    let mut sim = scale_sim(1 << 16, 8, 2, false, Algorithm::Lazy);
+    let stats = sim.run();
+    assert_eq!(stats.read_txns, 16);
+    let bytes_per_node = sim.memory_footprint().bytes_per_node;
+    assert!(bytes_per_node <= 300, "{bytes_per_node} bytes/node");
+}

@@ -25,7 +25,7 @@ use flexsnoop::oracle::Violation;
 use flexsnoop::probe::{CountingProbe, Probe, ProbeReport};
 use flexsnoop::MachineConfig;
 use flexsnoop_engine::{Cycle, Cycles, FxHashMap, Resource, Scheduler};
-use flexsnoop_mem::{invariants, CacheGeometry, CmpCaches, CmpId, CoherState, LineAddr};
+use flexsnoop_mem::{invariants, CmpId, CoherState, LineAddr, MachineCaches};
 use flexsnoop_metrics::Histogram;
 use flexsnoop_net::{Torus, TorusConfig};
 use flexsnoop_workload::{AccessStream, MemAccess, WorkloadProfile};
@@ -137,7 +137,7 @@ struct CoreState {
 pub struct DirSimulator {
     cfg: MachineConfig,
     sched: Scheduler<Event>,
-    cmps: Vec<CmpCaches>,
+    cmps: MachineCaches,
     dirs: Vec<Directory>,
     torus: Torus,
     mem_ports: Vec<Resource>,
@@ -192,22 +192,10 @@ impl DirSimulator {
                 streams.len()
             ));
         }
-        let l1 = CacheGeometry::from_capacity(
-            machine.caches.l1_bytes,
-            machine.caches.l1_ways,
-            machine.caches.line_bytes,
-        );
-        let l2 = CacheGeometry::from_capacity(
-            machine.caches.l2_bytes,
-            machine.caches.l2_ways,
-            machine.caches.line_bytes,
-        );
         let active_cores = streams.len();
         Ok(Self {
             sched: Scheduler::new(),
-            cmps: (0..machine.nodes)
-                .map(|_| CmpCaches::new(machine.cores_per_cmp, l1, l2))
-                .collect(),
+            cmps: MachineCaches::new(machine.nodes, machine.cmp_geometry()),
             dirs: (0..machine.nodes).map(|_| Directory::new()).collect(),
             torus: Torus::new(TorusConfig::near_square(
                 machine.nodes,
@@ -635,7 +623,7 @@ impl DirSimulator {
     /// Fills a line, handling the victim: dirty victims write back and
     /// notify the home (ownership drop); clean evictions are silent.
     fn fill(&mut self, node: CmpId, local: usize, line: LineAddr, state: CoherState) {
-        if let Some(victim) = self.cmps[node.0].fill(local, line, state) {
+        if let Some(victim) = self.cmps.fill(node.0, local, line, state) {
             if victim.needs_writeback() {
                 self.stats.mem_writes += 1;
                 let home = CmpId(victim.line.home_node(self.cfg.nodes));
@@ -698,6 +686,6 @@ impl DirSimulator {
 
     /// The coherence state of one line in one core's L2.
     pub fn line_state(&self, node: CmpId, core: usize, line: LineAddr) -> CoherState {
-        self.cmps[node.0].l2(core).state_of(line)
+        self.cmps[node.0].l2_state(core, line)
     }
 }

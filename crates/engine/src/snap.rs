@@ -244,6 +244,12 @@ impl SnapWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+
+    /// Appends `bytes` verbatim, with no length prefix: a pre-encoded
+    /// value that a reader recognizes with [`SnapReader::strip_prefix`].
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 /// Deserializer: consumes little-endian primitives from a byte slice.
@@ -345,6 +351,17 @@ impl<'a> SnapReader<'a> {
     pub fn get_str(&mut self) -> Result<String, SnapError> {
         let bytes = self.get_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Corrupt("invalid utf-8"))
+    }
+
+    /// Consumes `prefix` if the unread bytes start with it; otherwise
+    /// consumes nothing. Lets a reader recognize a known encoding (such as
+    /// a component's empty state) without decoding it field by field.
+    pub fn strip_prefix(&mut self, prefix: &[u8]) -> bool {
+        let hit = self.buf[self.pos..].starts_with(prefix);
+        if hit {
+            self.pos += prefix.len();
+        }
+        hit
     }
 
     /// Errors with [`SnapError::TrailingBytes`] unless fully consumed.
@@ -478,6 +495,29 @@ mod tests {
         // A failed read consumes nothing; the bytes are still there.
         assert_eq!(r.remaining(), 2);
         assert_eq!(r.get_u8(), Ok(1));
+    }
+
+    #[test]
+    fn put_raw_round_trips_through_strip_prefix() {
+        let mut w = SnapWriter::new();
+        w.put_raw(&[4, 5]);
+        w.put_u8(6);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [4, 5, 6]);
+        let mut r = SnapReader::new(&bytes);
+        assert!(r.strip_prefix(&[4, 5]));
+        assert_eq!(r.get_u8(), Ok(6));
+    }
+
+    #[test]
+    fn strip_prefix_consumes_only_on_a_match() {
+        let mut r = SnapReader::new(&[1, 2, 3]);
+        assert!(!r.strip_prefix(&[1, 3]));
+        assert!(!r.strip_prefix(&[1, 2, 3, 4]));
+        assert_eq!(r.remaining(), 3);
+        assert!(r.strip_prefix(&[1, 2]));
+        assert_eq!(r.get_u8(), Ok(3));
+        assert!(r.strip_prefix(&[]));
     }
 
     #[test]

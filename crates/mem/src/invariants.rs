@@ -9,6 +9,9 @@
 //! generic "states incompatible". [`check_all`] sweeps every resident
 //! line — the final-state scan both simulators expose as
 //! `validate_coherence`.
+//!
+//! CMPs whose arrays were never built hold no copies, so every sweep
+//! skips them after one pointer test.
 
 use crate::cmp::CmpCaches;
 use crate::state::CoherState;
@@ -29,15 +32,11 @@ pub fn check_line(cmps: &[CmpCaches], line: LineAddr) -> Result<(), String> {
     // (cmp index, core index, state) for every valid copy. Machines have
     // at most cores-per-CMP × nodes copies; a small stack buffer would be
     // overkill — this path only runs when checks are enabled.
-    let mut copies: Vec<(usize, usize, CoherState)> = Vec::new();
-    for (n, cmp) in cmps.iter().enumerate() {
-        for core in 0..cmp.cores() {
-            let st = cmp.l2(core).state_of(line);
-            if st.is_valid() {
-                copies.push((n, core, st));
-            }
-        }
-    }
+    let copies: Vec<(usize, usize, CoherState)> = cmps
+        .iter()
+        .enumerate()
+        .flat_map(|(n, cmp)| cmp.copies_of(line).map(move |(core, st)| (n, core, st)))
+        .collect();
     let suppliers: Vec<_> = copies.iter().filter(|(_, _, s)| s.is_supplier()).collect();
     if suppliers.len() > 1 {
         return Err(format!(
@@ -87,7 +86,7 @@ fn render_copies(
 pub fn check_all(cmps: &[CmpCaches]) -> Result<(), String> {
     let mut lines: Vec<LineAddr> = cmps
         .iter()
-        .flat_map(|cmp| (0..cmp.cores()).flat_map(|c| cmp.l2(c).iter().map(|(l, _)| l)))
+        .flat_map(|cmp| cmp.l2_lines().map(|(_, line, _)| line))
         .collect();
     lines.sort_unstable();
     lines.dedup();
@@ -104,10 +103,7 @@ pub fn state_snapshot(cmps: &[CmpCaches]) -> Vec<(LineAddr, usize, usize, CoherS
     let mut snap: Vec<(LineAddr, usize, usize, CoherState)> = cmps
         .iter()
         .enumerate()
-        .flat_map(|(n, cmp)| {
-            (0..cmp.cores())
-                .flat_map(move |c| cmp.l2(c).iter().map(move |(line, st)| (line, n, c, st)))
-        })
+        .flat_map(|(n, cmp)| cmp.l2_lines().map(move |(c, line, st)| (line, n, c, st)))
         .collect();
     snap.sort_unstable_by_key(|&(line, n, c, st)| (line, n, c, st as u8));
     snap
@@ -117,26 +113,26 @@ pub fn state_snapshot(cmps: &[CmpCaches]) -> Vec<(LineAddr, usize, usize, CoherS
 mod tests {
     use super::*;
     use crate::cache::CacheGeometry;
+    use crate::cmp::{CmpGeometry, MachineCaches};
     use CoherState::*;
 
-    fn machine() -> Vec<CmpCaches> {
-        (0..2)
-            .map(|_| {
-                CmpCaches::new(
-                    2,
-                    CacheGeometry::from_entries(4, 2),
-                    CacheGeometry::from_entries(16, 4),
-                )
-            })
-            .collect()
+    fn machine() -> MachineCaches {
+        MachineCaches::new(
+            2,
+            CmpGeometry::new(
+                2,
+                CacheGeometry::from_entries(4, 2),
+                CacheGeometry::from_entries(16, 4),
+            ),
+        )
     }
 
     #[test]
     fn clean_sharing_passes() {
         let mut m = machine();
-        m[0].fill(0, LineAddr(1), Sg);
-        m[0].fill(1, LineAddr(1), S);
-        m[1].fill(0, LineAddr(1), Sl);
+        m.fill(0, 0, LineAddr(1), Sg);
+        m.fill(0, 1, LineAddr(1), S);
+        m.fill(1, 0, LineAddr(1), Sl);
         assert!(check_line(&m, LineAddr(1)).is_ok());
         assert!(check_all(&m).is_ok());
     }
@@ -144,8 +140,8 @@ mod tests {
     #[test]
     fn two_suppliers_are_named() {
         let mut m = machine();
-        m[0].fill(0, LineAddr(2), E);
-        m[1].fill(0, LineAddr(2), D);
+        m.fill(0, 0, LineAddr(2), E);
+        m.fill(1, 0, LineAddr(2), D);
         let err = check_line(&m, LineAddr(2)).unwrap_err();
         assert!(err.contains("2 supplier-state copies"), "{err}");
         assert!(err.contains("E@cmp0/core0"), "{err}");
@@ -155,8 +151,8 @@ mod tests {
     #[test]
     fn two_dirty_copies_are_reported_as_suppliers_first() {
         let mut m = machine();
-        m[0].fill(0, LineAddr(3), D);
-        m[1].fill(0, LineAddr(3), T);
+        m.fill(0, 0, LineAddr(3), D);
+        m.fill(1, 0, LineAddr(3), T);
         let err = check_line(&m, LineAddr(3)).unwrap_err();
         // D and T are both supplier states, so the supplier check fires.
         assert!(err.contains("supplier"), "{err}");
@@ -165,8 +161,8 @@ mod tests {
     #[test]
     fn incompatible_pair_is_located() {
         let mut m = machine();
-        m[0].fill(0, LineAddr(4), E);
-        m[1].fill(1, LineAddr(4), S);
+        m.fill(0, 0, LineAddr(4), E);
+        m.fill(1, 1, LineAddr(4), S);
         let err = check_line(&m, LineAddr(4)).unwrap_err();
         assert!(err.contains("incompatible"), "{err}");
         assert!(err.contains("cmp1/core1"), "{err}");
@@ -175,9 +171,9 @@ mod tests {
     #[test]
     fn check_all_finds_the_bad_line_among_good_ones() {
         let mut m = machine();
-        m[0].fill(0, LineAddr(1), Sg);
-        m[0].fill(0, LineAddr(2), E);
-        m[1].fill(0, LineAddr(2), E);
+        m.fill(0, 0, LineAddr(1), Sg);
+        m.fill(0, 0, LineAddr(2), E);
+        m.fill(1, 0, LineAddr(2), E);
         let err = check_all(&m).unwrap_err();
         assert!(
             err.contains("line2") || err.contains("0x2") || err.contains('2'),
@@ -188,11 +184,11 @@ mod tests {
     #[test]
     fn snapshot_is_canonical() {
         let mut a = machine();
-        a[1].fill(0, LineAddr(9), Sl);
-        a[0].fill(0, LineAddr(5), E);
+        a.fill(1, 0, LineAddr(9), Sl);
+        a.fill(0, 0, LineAddr(5), E);
         let mut b = machine();
-        b[0].fill(0, LineAddr(5), E);
-        b[1].fill(0, LineAddr(9), Sl);
+        b.fill(0, 0, LineAddr(5), E);
+        b.fill(1, 0, LineAddr(9), Sl);
         assert_eq!(state_snapshot(&a), state_snapshot(&b));
         assert_eq!(state_snapshot(&a).len(), 2);
     }

@@ -11,7 +11,7 @@
 //! * [`cache`] — a generic set-associative, LRU-replaced cache array.
 //! * [`l2`] — the per-core L2 cache tracking a coherence state per line.
 //! * [`cmp`] — a CMP's group of L2s with local-supply and remote-snoop
-//!   lookups.
+//!   lookups, built on first fill, and the machine-wide set of CMPs.
 //!
 //! The protocol logic that *drives* state changes lives in the `flexsnoop`
 //! core crate; this crate only guarantees the storage-level invariants.
@@ -26,7 +26,7 @@ pub mod state;
 
 pub use addr::{Addr, LineAddr};
 pub use cache::{CacheGeometry, SetAssocCache};
-pub use cmp::{CmpCaches, InvalidateOutcome};
+pub use cmp::{CmpCaches, CmpGeometry, InvalidateOutcome, MachineCaches};
 pub use ids::{CmpId, CoreId};
 pub use l2::L2Cache;
 pub use state::CoherState;
